@@ -63,7 +63,7 @@ class WarpGate:
         """Run the indexing pipeline over every column of the warehouse."""
         t0 = time.perf_counter()
         cells = warehouse.cells_long_df(sample=self.config.sample)
-        emb_df = embed_columns_df(warehouse.spark, cells, self._as_embedder())
+        emb_df = embed_columns_df(warehouse.spark, cells, self.model)
         self.index = SimHashIndex.build_from_df(
             emb_df,
             dim=self._dim(),
@@ -77,15 +77,6 @@ class WarpGate:
 
     def _dim(self) -> int:
         return int(self.model.dim)
-
-    def _as_embedder(self) -> EmbeddingModel:
-        """The model used for *corpus* embedding.
-
-        BertLike models embed columns through their own ``embed_values``
-        too, but the distributed pipeline needs a picklable object — both
-        model classes satisfy that, so pass through unchanged.
-        """
-        return self.model  # type: ignore[return-value]
 
     def query(
         self, col_id: str, *, k: int | None = None

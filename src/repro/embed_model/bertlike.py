@@ -87,7 +87,7 @@ class BertLikeModel:
             toks = tokenize(v)
             if not toks:
                 continue
-            tok_vecs = np.stack([self.base.token_vector(t) for t in toks])
+            tok_vecs = self.base.token_vectors(toks)
             pooled.append(tok_vecs.mean(axis=0))
             ctx_parts.append(self._contextualize(tok_vecs))
         if not pooled:

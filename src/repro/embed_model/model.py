@@ -7,12 +7,15 @@ embedding pipeline and D3L's word-embedding signal. It is a plain
 executors cheaply.
 
 Out-of-vocabulary tokens are embedded as the L2-normalized sum of hashed
-character-trigram vectors (fastText-style). The trigram vectors come
-from a deterministic seeded Gaussian per bucket, so any process computes
-the same OOV vector for the same token — no shared state needed.
+character-trigram vectors (fastText-style). Each trigram bucket's vector
+is a deterministic seeded Gaussian, so any process computes the same OOV
+vector for the same token. Bucket vectors are drawn once per process
+into a lazily filled table keyed by dimension; the table lives at module
+level, never on a model, so it is not pickled into Spark broadcasts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import zlib
 
@@ -22,18 +25,47 @@ from repro.embed_model.tokenizer import char_ngrams, tokenize
 
 _NGRAM_BUCKETS = 1 << 15
 
+# dim -> ((buckets, dim) float64 trigram vectors, (buckets,) filled mask).
+_TRIGRAM_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _trigram_table(buckets: np.ndarray, dim: int) -> np.ndarray:
+    """The process-wide bucket table for ``dim``, with ``buckets`` filled.
+
+    A missing row gets the same ``default_rng(bucket)`` draw every process
+    makes, so the table is a cache, not state.
+    """
+    if dim not in _TRIGRAM_TABLES:
+        _TRIGRAM_TABLES[dim] = (
+            np.zeros((_NGRAM_BUCKETS, dim)),
+            np.zeros(_NGRAM_BUCKETS, dtype=bool),
+        )
+    table, filled = _TRIGRAM_TABLES[dim]
+    for b in np.unique(buckets[~filled[buckets]]).tolist():
+        table[b] = np.random.default_rng(b).standard_normal(dim)
+        filled[b] = True
+    return table
+
+
+def _oov_vectors(tokens: list[str], dim: int, scale: float) -> np.ndarray:
+    """``(len(tokens), dim)`` float32 char-trigram hash embeddings."""
+    grams = [char_ngrams(t) for t in tokens]
+    lengths = np.fromiter(map(len, grams), dtype=np.intp, count=len(grams))
+    buckets = np.fromiter(
+        (zlib.crc32(g.encode()) % _NGRAM_BUCKETS for gs in grams for g in gs),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    table = _trigram_table(buckets, dim)
+    # Every token has at least one gram, so the starts strictly increase.
+    acc = np.add.reduceat(table[buckets], np.cumsum(lengths) - lengths, axis=0)
+    norms = np.linalg.norm(acc, axis=1, keepdims=True)
+    return (acc / np.where(norms > 0, norms, 1.0) * scale).astype(np.float32)
+
 
 def _ngram_vector(token: str, dim: int, scale: float) -> np.ndarray:
     """Deterministic char-trigram hash embedding for one token."""
-    acc = np.zeros(dim, dtype=np.float64)
-    for gram in char_ngrams(token):
-        bucket = zlib.crc32(gram.encode()) % _NGRAM_BUCKETS
-        rng = np.random.default_rng(bucket)
-        acc += rng.standard_normal(dim)
-    n = np.linalg.norm(acc)
-    if n > 0:
-        acc = acc / n * scale
-    return acc.astype(np.float32)
+    return _oov_vectors([token], dim, scale)[0]
 
 
 @dataclass
@@ -53,31 +85,32 @@ class EmbeddingModel:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
+    def token_vectors(self, tokens: list[str]) -> np.ndarray:
+        """``(len(tokens), d)`` float32: vocab rows, OOV trigram vectors."""
+        rows = np.fromiter(
+            (self.vocab.get(t, -1) for t in tokens), dtype=np.intp, count=len(tokens)
+        )
+        oov = rows < 0
+        out = self.vectors[rows]  # a copy; OOV rows are overwritten below
+        if oov.any():
+            out[oov] = _oov_vectors(
+                [t for t, r in zip(tokens, rows.tolist()) if r < 0],
+                self.dim,
+                self.oov_scale,
+            )
+        return out
+
     def token_vector(self, token: str) -> np.ndarray:
-        i = self.vocab.get(token)
-        if i is not None:
-            return self.vectors[i]
-        return _ngram_vector(token, self.dim, self.oov_scale)
+        return self.token_vectors([token])[0]
 
     def embed_tokens(self, tokens: list[str]) -> np.ndarray | None:
         """Mean of token vectors, L2-normalized; ``None`` if no tokens."""
         if not tokens:
             return None
-        acc = np.zeros(self.dim, dtype=np.float64)
-        oov: dict[str, int] = {}
-        n = 0
-        for t in tokens:
-            i = self.vocab.get(t)
-            if i is not None:
-                acc += self.vectors[i]
-            else:
-                oov[t] = oov.get(t, 0) + 1
-            n += 1
-        for t, c in oov.items():
-            acc += c * _ngram_vector(t, self.dim, self.oov_scale)
-        if n == 0:
-            return None
-        acc /= n
+        counts = Counter(tokens)
+        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        acc = weights @ self.token_vectors(list(counts)).astype(np.float64)
+        acc /= len(tokens)
         nrm = np.linalg.norm(acc)
         if nrm > 0:
             acc /= nrm

@@ -20,19 +20,32 @@ import re
 from typing import Iterable
 
 _PUNCT_RE = re.compile(r"[^0-9a-z]+")
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
+# Decimal literals, plus exponent forms whose mantissa has a '.' or whose
+# exponent has a sign (Spark's ``1.0e20``, Python's ``1e+20``) — so that
+# hex-like ids such as ``1234e567`` stay ordinary tokens.
+_NUM_RE = re.compile(
+    r"^[+-]?(?:(?:\d+\.?\d*|\.\d+)"
+    r"|(?:\d+\.\d*|\.\d+)e[+-]?\d+"
+    r"|(?:\d+\.?\d*|\.\d+)e[+-]\d+)$"
+)
+# Python prints infinities as ``inf``, Spark casts them to ``Infinity``.
+_INF_RE = re.compile(r"^[+-]?inf(?:inity)?$")
+INF_TOKEN = "<num:inf>"
 
 
 def numeric_bin(tok: str) -> str | None:
     """Magnitude-bin token for a numeric literal, else ``None``.
 
-    ``"42" -> "<num:1>"``, ``"0.5" -> "<num:-1>"``, ``"0" -> "<num:0>"``.
+    ``"42" -> "<num:1>"``, ``"0.5" -> "<num:-1>"``, ``"0" -> "<num:0>"``;
+    a literal beyond the float range bins to :data:`INF_TOKEN`.
     """
     if not _NUM_RE.match(tok):
         return None
     x = abs(float(tok))
     if x == 0:
         return "<num:0>"
+    if math.isinf(x):
+        return INF_TOKEN
     return f"<num:{int(math.floor(math.log10(x)))}>"
 
 
@@ -40,18 +53,23 @@ def tokenize(value) -> list[str]:
     """Tokenize one cell value into normalized tokens.
 
     ``None``/NaN yield no tokens. Non-string values are stringified
-    first, so the same path serves string, numeric, and date columns.
+    first, so the same path serves string, numeric, and date columns:
+    a float tokenizes the same whether Python's ``str`` or Spark's
+    ``cast(... as string)`` printed it.
     """
     if value is None:
         return []
     s = str(value)
-    if not s or s == "nan" or s == "None":
+    whole = s.strip().lower()
+    if not s or whole == "nan" or s == "None":
         return []
+    if _INF_RE.match(whole):
+        return [INF_TOKEN]
     # Whole-value numeric literal (incl. decimals, whose '.' would
     # otherwise be split as punctuation): one magnitude-bin token.
-    whole = numeric_bin(s.strip().lower())
-    if whole is not None:
-        return [whole]
+    num = numeric_bin(whole)
+    if num is not None:
+        return [num]
     out: list[str] = []
     for raw in _PUNCT_RE.split(s.lower()):
         if not raw:

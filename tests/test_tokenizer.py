@@ -130,3 +130,53 @@ def test_char_ngrams_cover_token():
 def test_normalize_idempotent_on_word_values():
     v = "Acme Corp Holdings"
     assert normalize(normalize(v)) == normalize(v)
+
+
+# (Python value, Spark's ``cast(double as string)`` of it,
+# the token both must yield). The build path embeds Spark's string, the
+# query path Python's ``str`` of the collected value.
+ODD_NUMERICS = [
+    (1e5, "100000.0", ["<num:5>"]),
+    (-0.0, "-0.0", ["<num:0>"]),
+    (1e20, "1.0E20", ["<num:20>"]),
+    (1e-4, "1.0E-4", ["<num:-4>"]),
+    (1.5e7, "1.5E7", ["<num:7>"]),
+    (float("inf"), "Infinity", ["<num:inf>"]),
+    (float("-inf"), "-Infinity", ["<num:inf>"]),
+    (float("nan"), "NaN", []),
+]
+
+
+@pytest.mark.parametrize(
+    "value,spark_str,expected", ODD_NUMERICS, ids=[s for _, s, _ in ODD_NUMERICS]
+)
+def test_odd_numerics_tokenize_alike_on_build_and_query_path(
+    value, spark_str, expected
+):
+    assert tokenize(value) == tokenize(str(value)) == expected
+    assert tokenize(spark_str) == expected
+
+
+def test_spark_cast_strings_of_odd_numerics(spark):
+    values = [v for v, _, _ in ODD_NUMERICS]
+    df = spark.createDataFrame([(v,) for v in values], "x double")
+    got = [r[0] for r in df.selectExpr("cast(x as string)").collect()]
+    assert got == [s for _, s, _ in ODD_NUMERICS]
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        ("1234e567", ["1234e567"]),  # hex-like id: no '.', unsigned exponent
+        ("1e5", ["1e5"]),
+        ("1e+20", ["<num:20>"]),
+        ("1.e5", ["<num:5>"]),
+        ("INF", ["<num:inf>"]),
+        ("infinity", ["<num:inf>"]),
+        ("NAN", []),
+        ("foo inf", ["foo", "inf"]),  # only a whole value folds
+        ("1" * 400, ["<num:inf>"]),  # beyond float range
+    ],
+)
+def test_exponent_and_nonfinite_forms(value, expected):
+    assert tokenize(value) == expected
