@@ -1,9 +1,10 @@
 """Benchmark fixtures: bench-scale corpora and pre-indexed systems.
 
-Bench scale (see DESIGN.md §4): ``rows_scale`` defaults to 0.005, which
-keeps the paper's ~15x S→M average-row ratio (testbedS ≈ 1k rows/table,
-testbedM ≈ 16k rows/table) while fitting a 16-core local Spark. Override
-with ``REPRO_BENCH_ROWS_SCALE`` / ``REPRO_BENCH_SIZE_SCALE`` /
+Bench scale (see DESIGN.md §4): ``rows_scale`` defaults to
+``repro.eval.experiments.BENCH_ROWS_SCALE``, which keeps the paper's
+~15x S→M average-row ratio (testbedS ≈ 1k rows/table, testbedM ≈ 16k
+rows/table) while fitting a 16-core local Spark. Override with
+``REPRO_BENCH_ROWS_SCALE`` / ``REPRO_BENCH_SIZE_SCALE`` /
 ``REPRO_BENCH_MAX_QUERIES``.
 
 Index builds are session fixtures — the paper's Table 2 measures *query*
@@ -16,10 +17,15 @@ import os
 
 import pytest
 
+from repro.eval import experiments
 from repro.eval.experiments import ExperimentContext
 
-BENCH_ROWS_SCALE = float(os.environ.get("REPRO_BENCH_ROWS_SCALE", "0.005"))
-BENCH_SIZE_SCALE = float(os.environ.get("REPRO_BENCH_SIZE_SCALE", "1.0"))
+BENCH_ROWS_SCALE = float(
+    os.environ.get("REPRO_BENCH_ROWS_SCALE", experiments.BENCH_ROWS_SCALE)
+)
+BENCH_SIZE_SCALE = float(
+    os.environ.get("REPRO_BENCH_SIZE_SCALE", experiments.BENCH_SIZE_SCALE)
+)
 BENCH_MAX_QUERIES = int(os.environ.get("REPRO_BENCH_MAX_QUERIES", "20"))
 
 

@@ -25,8 +25,7 @@ from repro.baselines.minhash import (
     minhash_signatures_df,
     pairwise_jaccard,
 )
-from repro.core.simhash import SearchResult
-from repro.core.warpgate import QueryTiming
+from repro.core.results import QueryTiming, SearchResult
 from repro.corpus.tablegen import Warehouse
 
 DEFAULT_EDGE_THRESHOLD = 0.1

@@ -31,9 +31,8 @@ from repro.baselines.minhash import (
     minhash_signature,
     permutation_params,
 )
+from repro.core.results import QueryTiming, SearchResult
 from repro.core.sampling import load_column
-from repro.core.simhash import SearchResult
-from repro.core.warpgate import QueryTiming
 from repro.corpus.tablegen import Warehouse
 from repro.embed_model.model import EmbeddingModel, cosine
 

@@ -13,7 +13,6 @@ them where embeddings survive.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
 
 import numpy as np
 import pandas as pd

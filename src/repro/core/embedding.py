@@ -9,7 +9,6 @@ executors with the broadcast model.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -45,15 +44,3 @@ def embed_columns_df(
     return cells.groupBy("col_id").applyInPandas(
         _embed, schema="col_id string, embedding array<double>"
     )
-
-
-def collect_embeddings(
-    embeddings: DataFrame,
-) -> tuple[list[str], np.ndarray]:
-    """Collect an embeddings frame into (ids, row-aligned float32 matrix)."""
-    rows = embeddings.collect()
-    ids = [r["col_id"] for r in rows]
-    if not ids:
-        return [], np.zeros((0, 0), dtype=np.float32)
-    mat = np.array([r["embedding"] for r in rows], dtype=np.float32)
-    return ids, mat

@@ -1,51 +1,25 @@
-"""Row-sampling strategies for column loading (§3.1.3, §4.4).
+"""Column loading with row sampling (§3.1.3, §4.4).
 
 CDW vendors charge per byte scanned, so WarpGate profiles columns from
-small row samples instead of full scans. Two strategies:
-
-* ``head`` — ``LIMIT n``: the cheapest scan a warehouse can do (stops
-  early); the default, and what the paper's sample sizes refer to.
-* ``random`` — Bernoulli ``TABLESAMPLE``-style sampling via
-  ``df.sample``; costs a full scan but is unbiased. Used by tests to
-  show the embedding is robust to *where* the sample comes from.
-
-``full`` loads everything (the no-sampling baseline of Fig. 4/Table 2).
+small row samples instead of full scans. Sampling is ``LIMIT n``: the
+cheapest scan a warehouse can do (it stops early), and what the paper's
+sample sizes refer to. ``sample=None`` loads the full column (the
+no-sampling baseline of Fig. 4/Table 2).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-
-STRATEGIES = ("head", "random", "full")
-
-
-def sample_column_df(
-    df: DataFrame, *, sample: int | None, strategy: str = "head", seed: int = 0
-) -> DataFrame:
-    """Apply a sampling strategy to a single-column DataFrame."""
-    if sample is None or strategy == "full":
-        return df
-    if strategy == "head":
-        return df.limit(sample)
-    if strategy == "random":
-        # Oversample the fraction slightly, then cap at ``sample`` rows.
-        total = df.count()
-        if total <= sample:
-            return df
-        frac = min(1.0, 1.5 * sample / total)
-        return df.sample(fraction=frac, seed=seed).limit(sample)
-    raise ValueError(f"unknown sampling strategy {strategy!r}")
+from repro.corpus.tablegen import Warehouse, quote_ident
 
 
 def load_column(
-    warehouse,
-    col_id: str,
-    *,
-    sample: int | None = None,
-    strategy: str = "head",
-    seed: int = 0,
+    warehouse: Warehouse, col_id: str, *, sample: int | None = None
 ) -> list:
-    """Pull one column's (possibly sampled) values out of the warehouse."""
-    db, table, col = col_id.split(".", 2)
-    df = warehouse.table_df(f"{db}.{table}").select(col)
-    df = sample_column_df(df, sample=sample, strategy=strategy, seed=seed)
+    """Pull one column's (possibly sampled) values out of the warehouse.
+
+    Raises ``KeyError`` for a col_id the warehouse does not hold.
+    """
+    table, col = warehouse.column_map[col_id]
+    df = warehouse.table_df(table.table_id).select(quote_ident(col.name))
+    if sample is not None:
+        df = df.limit(sample)
     return [r[0] for r in df.collect()]

@@ -21,11 +21,11 @@ structure built from the collected signatures (thousands of columns).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+
+from repro.core.results import SearchResult
 
 
 def bit_agreement_probability(cos_sim: float) -> float:
@@ -85,12 +85,6 @@ def signatures_df(embeddings: DataFrame, planes: np.ndarray) -> DataFrame:
     return embeddings.mapInPandas(
         _sig, schema="col_id string, embedding array<double>, sig array<tinyint>"
     )
-
-
-@dataclass
-class SearchResult:
-    col_id: str
-    score: float
 
 
 class SimHashIndex:

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.embedding import embed_columns_df
+from repro.core.results import QueryTiming, SearchResult
 from repro.core.sampling import load_column
-from repro.core.simhash import SearchResult, SimHashIndex
+from repro.core.simhash import SimHashIndex
 from repro.corpus.tablegen import Warehouse
 from repro.embed_model.model import EmbeddingModel
 
@@ -33,20 +34,9 @@ class WarpGateConfig:
 
     n_bits: int = 128
     threshold: float = 0.7  # SimHash LSH similarity threshold (§4.3)
-    sample: int | None = None  # rows per column; None = full values
-    strategy: str = "head"
+    sample: int | None = None  # rows per column (LIMIT); None = full values
     k: int = 10
     seed: int = 99
-
-
-@dataclass
-class QueryTiming:
-    load_s: float
-    lookup_s: float
-
-    @property
-    def e2e_s(self) -> float:
-        return self.load_s + self.lookup_s
 
 
 @dataclass
@@ -66,7 +56,7 @@ class WarpGate:
         emb_df = embed_columns_df(warehouse.spark, cells, self.model)
         self.index = SimHashIndex.build_from_df(
             emb_df,
-            dim=self._dim(),
+            dim=int(self.model.dim),
             n_bits=self.config.n_bits,
             threshold=self.config.threshold,
             seed=self.config.seed,
@@ -74,9 +64,6 @@ class WarpGate:
         self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0
         return self.index
-
-    def _dim(self) -> int:
-        return int(self.model.dim)
 
     def query(
         self, col_id: str, *, k: int | None = None
@@ -87,12 +74,7 @@ class WarpGate:
         )
         k = k or self.config.k
         t0 = time.perf_counter()
-        values = load_column(
-            self._warehouse,
-            col_id,
-            sample=self.config.sample,
-            strategy=self.config.strategy,
-        )
+        values = load_column(self._warehouse, col_id, sample=self.config.sample)
         t1 = time.perf_counter()
         results = self.lookup(values, k=k, exclude={col_id})
         t2 = time.perf_counter()

@@ -32,7 +32,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 import pyspark.sql.functions as F
 
-from repro.corpus.tablegen import CorpusSpec, QuerySpec, Warehouse
+from repro.corpus.tablegen import QuerySpec, Warehouse
 from repro.embed_model.tokenizer import normalize
 
 GOOD_CONTAINMENT = 0.50

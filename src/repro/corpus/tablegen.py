@@ -4,10 +4,13 @@ A corpus is described declaratively (``CorpusSpec`` → ``TableSpec`` →
 ``ColumnSpec``) and materialized deterministically from seeds. The
 materialized corpus is exposed as a :class:`Warehouse`: a set of Spark
 DataFrames registered per table — the stand-in for a cloud data
-warehouse. All discovery systems read columns *through* the warehouse
-(``column_values``), so "data loading" cost is paid the same way the
-paper pays it (pulling a column out of the CDW), and row sampling
-short-circuits that cost exactly as §3.1.3 describes.
+warehouse. Column ids resolve to their table and column name through
+one map built from the spec (:meth:`CorpusSpec.column_map`), never by
+parsing the id. Discovery systems pull query columns out of the
+warehouse with :func:`repro.core.sampling.load_column`, so "data
+loading" cost is paid the same way the paper pays it (pulling a column
+out of the CDW), and row sampling short-circuits that cost exactly as
+§3.1.3 describes.
 
 Column kinds:
 
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+import pyspark.sql.functions as F
+from pyspark.sql import Column, DataFrame, SparkSession
 
 from repro.corpus.domains import FORMATS, DomainUniverse
 
@@ -103,14 +107,33 @@ class CorpusSpec:
     def column_ids(self) -> list[str]:
         return [t.col_id(c.name) for t in self.tables for c in t.columns]
 
-    def column_spec(self, col_id: str) -> ColumnSpec:
-        db, table, col = col_id.split(".", 2)
+    def column_map(self) -> dict[str, tuple[TableSpec, ColumnSpec]]:
+        """``col_id → (table, column)``: the one resolution of a column id.
+
+        Ids join names with dots, so distinct names can share an id
+        (table ``db.t`` + column ``a.b`` vs table ``db.t.a`` + column
+        ``b``); that raises ``ValueError`` instead of resolving to either.
+        """
+        out: dict[str, tuple[TableSpec, ColumnSpec]] = {}
+        table_ids: set[str] = set()
         for t in self.tables:
-            if t.db == db and t.name == table:
-                for c in t.columns:
-                    if c.name == col:
-                        return c
-        raise KeyError(col_id)
+            if t.table_id in table_ids:
+                raise ValueError(f"duplicate table id {t.table_id!r}")
+            table_ids.add(t.table_id)
+            for c in t.columns:
+                cid = t.col_id(c.name)
+                if cid in out:
+                    raise ValueError(f"ambiguous column id {cid!r}")
+                out[cid] = (t, c)
+        return out
+
+    def column_spec(self, col_id: str) -> ColumnSpec:
+        return self.column_map()[col_id][1]
+
+
+def quote_ident(name: str) -> str:
+    """Backtick-quote a Spark column name, doubling embedded backticks."""
+    return "`" + name.replace("`", "``") + "`"
 
 
 def _col_seed(corpus_seed: int, table_id: str, col: str) -> int:
@@ -205,11 +228,11 @@ def materialize_table(
 class Warehouse:
     """The materialized corpus, exposed as Spark DataFrames per table.
 
-    ``column_values`` is the single data-access path used by every
-    discovery system; it pulls one column out of the warehouse (a Spark
-    job — the analogue of a CDW scan) with optional row sampling via
-    ``limit`` (which short-circuits the scan, like ``LIMIT`` pushdown in
-    a CDW).
+    ``column_map`` (built once from the spec) resolves a col_id to its
+    table and column; :func:`repro.core.sampling.load_column` reads one
+    column through it and :meth:`cells_long_df` unpivots the corpus for
+    index builds. Construction raises ``ValueError`` if two columns
+    share a col_id.
     """
 
     def __init__(
@@ -218,12 +241,24 @@ class Warehouse:
         self.spark = spark
         self.spec = spec
         self.universe = universe
+        self.column_map = spec.column_map()
         self._dfs: dict[str, DataFrame] = {}
         self._pdfs: dict[str, pd.DataFrame] = {}
+        # Per table, col_id → the (id, value) pair ``stack`` takes for that
+        # column. Built once: each Column costs py4j round trips, which
+        # rebuilding per call would add to every index build.
+        self._stack_args: dict[str, dict[str, tuple[Column, Column]]] = {}
         for t in spec.tables:
             pdf = materialize_table(t, universe, spec.seed)
             self._pdfs[t.table_id] = pdf
             self._dfs[t.table_id] = spark.createDataFrame(pdf)
+            self._stack_args[t.table_id] = {
+                t.col_id(c.name): (
+                    F.lit(t.col_id(c.name)),
+                    F.col(quote_ident(c.name)).cast("string"),
+                )
+                for c in t.columns
+            }
 
     @property
     def tables(self) -> dict[str, DataFrame]:
@@ -236,18 +271,6 @@ class Warehouse:
         """Driver-side frame — for tests/oracle only, not system paths."""
         return self._pdfs[table_id]
 
-    def column_values(self, col_id: str, *, sample: int | None = None) -> list:
-        """Pull one column's values out of the warehouse via Spark.
-
-        ``sample=None`` scans the full column; otherwise ``limit(sample)``
-        rows are read (the paper's row-sampling knob).
-        """
-        db, table, col = col_id.split(".", 2)
-        df = self._dfs[f"{db}.{table}"].select(col)
-        if sample is not None:
-            df = df.limit(sample)
-        return [r[0] for r in df.collect()]
-
     def cells_long_df(
         self,
         *,
@@ -256,33 +279,28 @@ class Warehouse:
     ) -> DataFrame:
         """Long-format ``(col_id, value)`` DataFrame over the corpus.
 
-        Built with per-table ``stack`` expressions (pure Spark SQL), then
-        unioned — the indexing pipeline's input. Sampling limits rows per
-        table *before* unpivoting, mirroring sampled profiling.
-        ``include_columns`` restricts the unpivot to the given col_ids
-        (cheaper than stacking everything and filtering after).
+        Built with one ``stack`` generator per table over literal ids and
+        quoted column references (no SQL text), then unioned — the
+        indexing pipeline's input. Sampling limits rows per table *before*
+        unpivoting, mirroring sampled profiling. ``include_columns``
+        restricts the unpivot to the given col_ids (cheaper than stacking
+        everything and filtering after).
         """
         parts: list[DataFrame] = []
         for t in self.spec.tables:
-            cols = [
-                c
-                for c in t.columns
-                if include_columns is None or t.col_id(c.name) in include_columns
+            args = [
+                arg
+                for cid, pair in self._stack_args[t.table_id].items()
+                if include_columns is None or cid in include_columns
+                for arg in pair
             ]
-            if not cols:
+            if not args:
                 continue
             df = self._dfs[t.table_id]
             if sample is not None:
                 df = df.limit(sample)
-            pieces = ", ".join(
-                f"'{t.col_id(c.name)}', cast(`{c.name}` as string)"
-                for c in cols
-            )
-            parts.append(
-                df.selectExpr(
-                    f"stack({len(cols)}, {pieces}) as (col_id, value)"
-                )
-            )
+            stacked = F.stack(F.lit(len(args) // 2), *args)
+            parts.append(df.select(stacked.alias("col_id", "value")))
         if not parts:
             return self.spark.createDataFrame([], "col_id string, value string")
         out = parts[0]

@@ -21,10 +21,11 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.d3l import D3L
+from repro.core.sampling import load_column
 from repro.core.warpgate import WarpGate, WarpGateConfig
 from repro.corpus.nextiajd import build_testbed
 from repro.corpus.sigma import build_sigma_spec, warehouse_shape_stats
-from repro.corpus.spider import build_spider, build_spider_spec
+from repro.corpus.spider import build_spider
 from repro.corpus.tablegen import CorpusSpec, Warehouse
 from repro.embed_model.bertlike import BertLikeModel
 from repro.embed_model.model import EmbeddingModel
@@ -158,7 +159,7 @@ def experiment_sample_efficiency(
         # Warm the query path once per dataset so Spark's first-job cost
         # doesn't land on whichever sample size happens to run first.
         if spec.queries:
-            wh.column_values(spec.queries[0].column, sample=10)
+            load_column(wh, spec.queries[0].column, sample=10)
         for sample in sample_sizes:
             if sample is None and full_systems and ds in full_systems:
                 wg = full_systems[ds]

@@ -1,7 +1,8 @@
 """Evaluation harness: run discovery systems over query sets with timing.
 
 All three systems expose the same protocol — ``build_index(warehouse)``
-then ``query(col_id, k=...) → (ranked results, QueryTiming)`` — so one
+then ``query(col_id, k=...) → (list[SearchResult], QueryTiming)``, both
+from :mod:`repro.core.results` — so one
 runner produces both the effectiveness (Fig. 4) and efficiency
 (Table 2, §4.4) measurements.
 """

@@ -6,7 +6,9 @@ import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
-from repro.core.embedding import collect_embeddings, embed_columns_df
+from repro.core.embedding import embed_columns_df
+from repro.core.sampling import load_column
+from repro.core.simhash import SimHashIndex
 from repro.oracle import assert_equivalent
 
 
@@ -52,17 +54,23 @@ def test_embedding_dim(emb_df, model):
     assert all(len(r["embedding"]) == model.dim for r in emb_df.collect())
 
 
-def test_collect_embeddings(emb_df, model):
-    ids, mat = collect_embeddings(emb_df)
-    assert sorted(ids) == ["X", "Y"]
-    assert mat.shape == (2, model.dim)
-    assert mat.dtype == np.float32
+def test_index_collects_embeddings(emb_df, model):
+    idx = SimHashIndex.build_from_df(emb_df, dim=model.dim)
+    assert sorted(idx.ids) == ["X", "Y"]
+    assert idx.matrix.shape == (2, model.dim)
+    assert idx.matrix.dtype == np.float32
+    got = {r["col_id"]: r["embedding"] for r in emb_df.collect()}
+    for cid, row in zip(idx.ids, idx.matrix):
+        assert np.allclose(row, got[cid], atol=1e-6)
 
 
-def test_collect_empty(spark, model):
+def test_index_from_empty_embeddings(spark, model):
     empty = spark.createDataFrame([], "col_id string, value string")
-    ids, mat = collect_embeddings(embed_columns_df(spark, empty, model))
-    assert ids == [] and mat.shape == (0, 0)
+    idx = SimHashIndex.build_from_df(
+        embed_columns_df(spark, empty, model), dim=model.dim
+    )
+    assert idx.ids == [] and idx.matrix.shape == (0, model.dim)
+    assert idx.query(np.ones(model.dim), 5) == []
 
 
 def test_column_count_matches_oracle(spark, xs_corpus, model):
@@ -91,6 +99,6 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
     spec, wh = xs_corpus
     ent = [c for c in wh.entity_column_ids()[:5]]
     for cid in ent:
-        full = model.embed_values(wh.column_values(cid))
-        samp = model.embed_values(wh.column_values(cid, sample=50))
+        full = model.embed_values(load_column(wh, cid))
+        samp = model.embed_values(load_column(wh, cid, sample=50))
         assert cosine(full, samp) > 0.9, cid

@@ -1,59 +1,44 @@
-"""Tests for column sampling strategies."""
+"""Tests for ``load_column``: the one column-load path, sampled by LIMIT."""
 from __future__ import annotations
 
 import pytest
 
-from repro.core.sampling import STRATEGIES, load_column, sample_column_df
+from repro.core.sampling import load_column
 
 
 @pytest.fixture(scope="module")
-def col_df(spark, xs_corpus):
+def col(xs_corpus):
     _, wh = xs_corpus
     cid = wh.entity_column_ids()[0]
-    db, table, col = cid.split(".", 2)
-    return wh.table_df(f"{db}.{table}").select(col), wh, cid
+    table, column = wh.column_map[cid]
+    return wh, cid, wh.table_pdf(table.table_id)[column.name].tolist()
 
 
-def test_full_returns_all(col_df):
-    df, _, _ = col_df
-    assert sample_column_df(df, sample=None).count() == df.count()
-    assert sample_column_df(df, sample=5, strategy="full").count() == df.count()
+def test_full_returns_all(col):
+    wh, cid, expected = col
+    assert load_column(wh, cid, sample=None) == expected
 
 
-def test_head_limits(col_df):
-    df, _, _ = col_df
-    assert sample_column_df(df, sample=7, strategy="head").count() == 7
+def test_head_limits(col):
+    """Sampling is ``LIMIT``: the first ``sample`` rows of the scan."""
+    wh, cid, expected = col
+    assert load_column(wh, cid, sample=7) == expected[:7]
 
 
-def test_random_caps_at_sample(col_df):
-    df, _, _ = col_df
-    n = sample_column_df(df, sample=9, strategy="random", seed=1).count()
-    assert n <= 9
-    assert n >= 5  # oversampled fraction rarely under-delivers by much
-
-
-def test_random_small_table_returns_all(spark):
-    import pandas as pd
-
-    df = spark.createDataFrame(pd.DataFrame({"x": [1, 2, 3]}))
-    assert sample_column_df(df, sample=10, strategy="random").count() == 3
-
-
-def test_unknown_strategy(col_df):
-    df, _, _ = col_df
-    with pytest.raises(ValueError):
-        sample_column_df(df, sample=5, strategy="wat")
-
-
-def test_load_column_sampled(col_df):
-    _, wh, cid = col_df
+def test_load_column_sampled(col):
+    wh, cid, _ = col
     assert len(load_column(wh, cid, sample=6)) == 6
 
 
-def test_load_column_full(col_df):
-    df, wh, cid = col_df
-    assert len(load_column(wh, cid)) == df.count()
+def test_load_column_full(col):
+    """A sample larger than the column reads the whole column."""
+    wh, cid, expected = col
+    assert load_column(wh, cid, sample=len(expected) + 5) == expected
 
 
-def test_strategies_constant():
-    assert set(STRATEGIES) == {"head", "random", "full"}
+def test_load_column_unknown_id(col):
+    """An id whose table exists but whose column does not is a KeyError,
+    not a Spark analysis error."""
+    wh, cid, _ = col
+    with pytest.raises(KeyError):
+        load_column(wh, cid + "_nope")

@@ -6,6 +6,10 @@ import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
+from repro.baselines.aurum import Aurum
+from repro.baselines.d3l import D3L
+from repro.core.sampling import load_column
+from repro.core.warpgate import WarpGate
 from repro.corpus.domains import default_universe
 from repro.corpus.tablegen import (
     ColumnSpec,
@@ -154,16 +158,6 @@ def test_warehouse_tables_registered(small_wh):
     assert small_wh.table_df("dbA.t0").count() == 120
 
 
-def test_column_values_full(small_wh):
-    vals = small_wh.column_values("dbA.t0.ent")
-    assert len(vals) == 120
-
-
-def test_column_values_sampled(small_wh):
-    vals = small_wh.column_values("dbA.t0.ent", sample=10)
-    assert len(vals) == 10
-
-
 def test_cells_long_df_counts_match_oracle(spark, small_wh, small_spec, uni):
     """The unpivot produces exactly n_rows cells per column — checked
     against DuckDB counting over the driver-side frames."""
@@ -216,3 +210,93 @@ def test_text_columns_mix_stopwords(uni):
     words = [w for v in vals for w in str(v).split()]
     stop_share = np.mean([w in _STOPWORDS for w in words])
     assert 0.3 < stop_share < 0.85
+
+
+# -- identifiers that are legal in a warehouse but hostile to SQL text --
+
+HOSTILE_NAMES = ("o'brien", "a.b", "x`y", "Order Date", "città")
+
+
+@pytest.fixture(scope="module")
+def hostile_spec(uni):
+    d0, d1 = uni.domains[0].name, uni.domains[1].name
+    cols = (
+        ColumnSpec(name="o'brien", kind="entity", domain=d0),
+        ColumnSpec(name="a.b", kind="entity", domain=d0, fmt="snake"),
+        ColumnSpec(name="x`y", kind="text", domain=d1),
+        ColumnSpec(name="Order Date", kind="date"),
+        ColumnSpec(name="città", kind="numeric"),
+    )
+    tables = [
+        TableSpec(db="db", name="t.dotted", n_rows=40, columns=cols),
+        TableSpec(db="db2", name="plain", n_rows=30, columns=cols[:2]),
+    ]
+    return CorpusSpec(name="hostile", tables=tables, seed=5)
+
+
+@pytest.fixture(scope="module")
+def hostile_wh(spark, hostile_spec, uni):
+    return Warehouse(spark, hostile_spec, uni)
+
+
+def test_hostile_column_spec(hostile_spec):
+    for name in HOSTILE_NAMES:
+        assert hostile_spec.column_spec(f"db.t.dotted.{name}").name == name
+
+
+def test_hostile_cells_long_df_ids(hostile_wh, hostile_spec):
+    got = dict(
+        hostile_wh.cells_long_df().groupBy("col_id").count().collect()
+    )
+    assert got == {
+        cid: t.n_rows for cid, (t, _) in hostile_spec.column_map().items()
+    }
+    assert sorted(got) == sorted(hostile_spec.column_ids())
+
+
+def test_hostile_load_column(hostile_wh, hostile_spec):
+    for cid, (t, c) in hostile_spec.column_map().items():
+        assert len(load_column(hostile_wh, cid)) == t.n_rows
+        expected = hostile_wh.table_pdf(t.table_id)[c.name].head(7).tolist()
+        assert load_column(hostile_wh, cid, sample=7) == expected
+
+
+@pytest.mark.parametrize("system", ["warpgate", "d3l", "aurum"])
+def test_hostile_systems_build_and_query(system, hostile_wh, hostile_spec, model):
+    sys_ = {
+        "warpgate": lambda: WarpGate(model=model),
+        "d3l": lambda: D3L(model=model),
+        "aurum": lambda: Aurum(),
+    }[system]()
+    sys_.build_index(hostile_wh)
+    ids = set(hostile_spec.column_ids())
+    for cid in hostile_spec.column_ids():
+        results, timing = sys_.query(cid, k=3)
+        assert len(results) <= 3 and timing.e2e_s >= 0
+        assert all(r.col_id in ids and r.col_id != cid for r in results)
+    # Same domain, format and name in another table: a pair every system
+    # finds once each name resolves to its own column.
+    top = [r.col_id for r in sys_.query("db.t.dotted.o'brien", k=3)[0]]
+    assert "db2.plain.o'brien" in top
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        # Different names, same dotted col_id "db.t.a.b".
+        [("db", "t", "a.b"), ("db", "t.a", "b")],
+        # Same table id twice.
+        [("db", "t", "x"), ("db", "t", "y")],
+    ],
+)
+def test_colliding_ids_rejected(spark, uni, tables):
+    spec = CorpusSpec(
+        name="clash",
+        tables=[
+            TableSpec(db=db, name=name, n_rows=5,
+                      columns=(ColumnSpec(name=col, kind="numeric"),))
+            for db, name, col in tables
+        ],
+    )
+    with pytest.raises(ValueError):
+        Warehouse(spark, spec, uni)
