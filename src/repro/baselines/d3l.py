@@ -97,8 +97,16 @@ def build_profile(
     model: EmbeddingModel,
     a: np.ndarray,
     b: np.ndarray,
+    name: str | None = None,
 ) -> ColumnProfile:
-    name = col_id.split(".")[-1]
+    """Profile one column's values under its column ``name``.
+
+    ``name`` defaults to the id's last dotted part, which is wrong for a
+    name that contains a dot; callers with the warehouse pass the name
+    from ``Warehouse.column_map``.
+    """
+    if name is None:
+        name = col_id.split(".")[-1]
     clean = [v for v in values if v is not None]
     return ColumnProfile(
         col_id=col_id,
@@ -170,12 +178,12 @@ class D3L:
     index_build_s: float = 0.0
     _warehouse: Warehouse | None = None
 
-    def _profiles_df(self, cells: DataFrame) -> pd.DataFrame:
+    def _profiles_df(self, cells: DataFrame, names: dict[str, str]) -> pd.DataFrame:
         a, b = permutation_params(self.n_perm, self.seed)
         model = self.model
 
         def _prof(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-            p = build_profile(key[0], pdf["value"].tolist(), model, a, b)
+            p = build_profile(key[0], pdf["value"].tolist(), model, a, b, names[key[0]])
             return pd.DataFrame(
                 {
                     "col_id": [p.col_id],
@@ -198,7 +206,8 @@ class D3L:
     def build_index(self, warehouse: Warehouse) -> None:
         """Distributed full-pass profiling of every corpus column."""
         t0 = time.perf_counter()
-        pdf = self._profiles_df(warehouse.cells_long_df())
+        names = {cid: c.name for cid, (_, c) in warehouse.column_map.items()}
+        pdf = self._profiles_df(warehouse.cells_long_df(), names)
         self.profiles = {p.col_id: p for p in profiles_df_to_list(pdf)}
         self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0
@@ -211,7 +220,8 @@ class D3L:
         values = load_column(self._warehouse, col_id)
         t1 = time.perf_counter()
         a, b = permutation_params(self.n_perm, self.seed)
-        qp = build_profile(col_id, values, self.model, a, b)
+        name = self._warehouse.column_map[col_id][1].name
+        qp = build_profile(col_id, values, self.model, a, b, name)
         scored = [
             SearchResult(col_id=cid, score=profile_similarity(qp, prof))
             for cid, prof in self.profiles.items()

@@ -9,7 +9,7 @@ values** (case/punctuation/format-folded, see ``tokenizer.normalize``),
 because the paper's notion of joinability explicitly includes columns
 that "can be transformed to become joinable".
 
-Thresholds (documented in DESIGN.md §3): a directed pair (query A,
+Thresholds (documented in DESIGN.md §6): a directed pair (query A,
 candidate B) is
 
 * **High** — containment(A, B) ≥ 0.75 and cardinality proportion ≤ 4,
@@ -19,10 +19,12 @@ where containment(A, B) = |distinct(A) ∩ distinct(B)| / |distinct(A)|
 and cardinality proportion = max(|A|,|B|) / min(|A|,|B|) on distinct
 normalized values.
 
-The pairwise computation is a Spark self-join restricted to candidate
-column groups (columns sharing an entity domain — cross-domain
-containment is structurally ~0 in the generators, which tests verify by
-sampling). Tests oracle-check the Spark results against DuckDB.
+Pairs are restricted to candidate column groups (columns sharing an
+entity domain — cross-domain containment is structurally ~0 in the
+generators, which tests verify by sampling). One Spark pass with no join
+counts them: each normalized value's set of same-group columns is
+exploded to its ordered pairs, diagonal included, so ``n(A, B) = |A∩B|``
+and ``n(A, A) = |A|``. Tests oracle-check the results against DuckDB.
 """
 from __future__ import annotations
 
@@ -41,63 +43,69 @@ GOOD_CARD_PROP = 8.0
 HIGH_CARD_PROP = 4.0
 
 
-def normalized_distinct_df(cells: DataFrame) -> DataFrame:
-    """``(col_id, nval)`` distinct normalized values from a long cells frame.
+def normalized_df(cells: DataFrame, groups: dict[str, str]) -> DataFrame:
+    """``(grp, nval, col_id)`` for each distinct ``(col_id, value)`` cell.
 
+    ``groups`` maps every col_id in ``cells`` to its candidate group.
     Raw-value dedup runs *first* (native Spark, cheap), so the Python
-    normalizer only touches each column's distinct values — orders of
-    magnitude fewer cells than the raw frame for key-like columns.
+    normalizer only touches each column's distinct values. Values that
+    normalize to ``""`` (nulls, punctuation) are dropped; distinct raw
+    values of one column may share a normalized value.
     """
 
     def _norm(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             out = pd.DataFrame(
                 {
-                    "col_id": pdf["col_id"],
+                    "grp": pdf["col_id"].map(groups),
                     "nval": [normalize(v) for v in pdf["value"]],
+                    "col_id": pdf["col_id"],
                 }
             )
             yield out[out["nval"] != ""]
 
-    return (
-        cells.distinct()
-        .mapInPandas(_norm, schema="col_id string, nval string")
-        .distinct()
+    return cells.distinct().mapInPandas(
+        _norm, schema="grp string, nval string, col_id string"
     )
 
 
-def containment_df(distinct_vals: DataFrame, groups: DataFrame) -> DataFrame:
-    """Directed containment for all intra-group column pairs.
+def pair_counts_df(cells: DataFrame, groups: dict[str, str]) -> DataFrame:
+    """``(a, b, n)``: distinct normalized values shared by columns a and b.
 
-    ``distinct_vals``: ``(col_id, nval)``; ``groups``: ``(col_id, grp)``
-    mapping columns to candidate groups (e.g. shared entity domain).
-    Returns ``(a, b, card_a, card_b, containment)`` for a ≠ b in the
-    same group, where ``containment = |A∩B| / |A|``.
+    One row per ordered pair of same-group columns sharing at least one
+    value, the diagonal included: ``n(a, b) = |A ∩ B|`` and
+    ``n(a, a) = |A|``.
     """
-    v = distinct_vals.join(groups, "col_id")
-    cards = v.groupBy("col_id").agg(F.count("*").alias("card"))
-    a = v.select(
-        F.col("col_id").alias("a"), F.col("grp").alias("grp_a"), "nval"
-    )
-    b = v.select(
-        F.col("col_id").alias("b"), F.col("grp").alias("grp_b"), "nval"
-    )
-    inter = (
-        a.join(b, (a["nval"] == b["nval"]) & (F.col("grp_a") == F.col("grp_b")))
-        .where(F.col("a") != F.col("b"))
-        .groupBy("a", "b")
-        .agg(F.count("*").alias("n_inter"))
+    cols = (
+        normalized_df(cells, groups)
+        .groupBy("grp", "nval")
+        .agg(F.collect_set("col_id").alias("cols"))
     )
     return (
-        inter.join(cards.withColumnRenamed("col_id", "a").withColumnRenamed("card", "card_a"), "a")
-        .join(cards.withColumnRenamed("col_id", "b").withColumnRenamed("card", "card_b"), "b")
-        .select(
-            "a",
-            "b",
-            "card_a",
-            "card_b",
-            (F.col("n_inter") / F.col("card_a")).alias("containment"),
-        )
+        cols.select(F.explode("cols").alias("a"), "cols")
+        .select("a", F.explode("cols").alias("b"))
+        .groupBy("a", "b")
+        .agg(F.count("*").alias("n"))
+    )
+
+
+def containment_pairs(counts: pd.DataFrame) -> pd.DataFrame:
+    """``(a, b, card_a, card_b, containment)`` for a ≠ b from pair counts.
+
+    ``card(a)`` is the diagonal count ``n(a, a)``.
+    """
+    diag = counts["a"] == counts["b"]
+    card = counts[diag].set_index("a")["n"]
+    pairs = counts[~diag].reset_index(drop=True)
+    card_a, card_b = pairs["a"].map(card), pairs["b"].map(card)
+    return pd.DataFrame(
+        {
+            "a": pairs["a"],
+            "b": pairs["b"],
+            "card_a": card_a,
+            "card_b": card_b,
+            "containment": pairs["n"] / card_a,
+        }
     )
 
 
@@ -112,7 +120,7 @@ def quality_label(containment: float, card_a: int, card_b: int) -> str:
 
 
 def label_pairs(pairs: pd.DataFrame) -> pd.DataFrame:
-    """Add the ``quality`` column to a collected containment frame."""
+    """Add the ``quality`` column to a containment frame."""
     pairs = pairs.copy()
     pairs["quality"] = [
         quality_label(c, ca, cb)
@@ -131,28 +139,16 @@ def build_queries(
     qualify — including demoting low-overlap "hard negative" slices).
     Queries default to group-member entity columns with ≥1 answer.
     """
-    spec = warehouse.spec
     ent_cols = [
         (t.col_id(c.name), c.domain, c.group)
-        for t in spec.tables
+        for t in warehouse.spec.tables
         for c in t.columns
         if c.kind == "entity"
     ]
-    groups_pdf = pd.DataFrame(
-        [(cid, dom) for cid, dom, _ in ent_cols], columns=["col_id", "grp"]
-    )
-    spark = warehouse.spark
-    ent_ids = set(groups_pdf["col_id"])
-    cells = warehouse.cells_long_df(include_columns=ent_ids)
-    # Cache the normalized distinct values: the containment self-join
-    # reads them on both sides, and recomputing means re-running the
-    # Python normalizer over every cell twice more.
-    dv = normalized_distinct_df(cells).persist()
-    try:
-        pairs = containment_df(dv, spark.createDataFrame(groups_pdf)).toPandas()
-    finally:
-        dv.unpersist()
-    pairs = label_pairs(pairs)
+    groups = {cid: dom for cid, dom, _ in ent_cols}
+    cells = warehouse.cells_long_df(include_columns=set(groups))
+    counts = pair_counts_df(cells, groups).toPandas()
+    pairs = label_pairs(containment_pairs(counts))
     answers: dict[str, set[str]] = {}
     for a, b, q in zip(pairs["a"], pairs["b"], pairs["quality"]):
         if q in ("Good", "High"):

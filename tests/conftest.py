@@ -1,10 +1,14 @@
 """Shared fixtures: trained model and small materialized corpora.
 
-Everything here is session-scoped — corpus materialization and model
-training are the expensive parts of the suite, and every test module
-reads them immutably.
+Also ``spark_jobs``, a context manager that counts the Spark jobs a
+block runs. Every fixture here is session-scoped — corpus
+materialization and model training are the expensive parts of the
+suite, and every test module reads them immutably.
 """
 from __future__ import annotations
+
+import uuid
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,6 +20,24 @@ from repro.corpus.nextiajd import build_testbed
 from repro.corpus.sigma import build_sigma
 from repro.corpus.spider import build_spider
 from repro.embed_model.pretrained import pretrained_model
+
+
+@contextmanager
+def spark_jobs(spark):
+    """Collect the ids of the Spark jobs that run inside the block.
+
+    The block runs in its own job group; its job ids are read from the
+    status tracker when it exits (``with spark_jobs(spark) as jobs:``).
+    """
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    jobs: list[int] = []
+    sc.setJobGroup(group, "spark_jobs")
+    try:
+        yield jobs
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        jobs.extend(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @pytest.fixture(scope="session")

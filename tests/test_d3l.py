@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.baselines.d3l as d3l_mod
 from repro.baselines.d3l import (
+    D3L,
     ColumnProfile,
     build_profile,
     numeric_profile,
@@ -13,6 +15,7 @@ from repro.baselines.d3l import (
     value_pattern,
 )
 from repro.baselines.minhash import permutation_params
+from repro.corpus.tablegen import ColumnSpec, CorpusSpec, TableSpec, Warehouse
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +152,45 @@ def test_profile_rehydration_roundtrip(perms, model):
     assert np.allclose(q.embedding, p.embedding, atol=1e-6)
     assert q.patterns == p.patterns
     assert q.numeric is None
+
+
+def test_build_profile_name_defaults_to_last_id_part(perms, model):
+    a, b = perms
+    p = build_profile("db.t.company", ["Acme"], model, a, b)
+    assert p.name_grams == qgrams("company")
+    q = build_profile("db.t.a.b", ["Acme"], model, a, b, "a.b")
+    assert q.name_grams == qgrams("a.b")
+
+
+def test_d3l_profiles_dotted_name_whole(spark, universe, model, monkeypatch):
+    """A column named ``a.b`` is profiled and queried under ``a.b``, not ``b``."""
+    dom = universe.domains[0].name
+    spec = CorpusSpec(
+        name="dotted",
+        tables=[
+            TableSpec(
+                db="db",
+                name="t",
+                n_rows=20,
+                columns=(
+                    ColumnSpec(name="a.b", kind="entity", domain=dom),
+                    ColumnSpec(name="c", kind="entity", domain=dom),
+                ),
+            )
+        ],
+        seed=3,
+    )
+    d = D3L(model=model)
+    d.build_index(Warehouse(spark, spec, universe))
+    assert d.profiles["db.t.a.b"].name_grams == qgrams("a.b")
+    assert d.profiles["db.t.c"].name_grams == qgrams("c")
+
+    seen = []
+
+    def spy(col_id, values, model, a, b, name=None):
+        seen.append(name)
+        return build_profile(col_id, values, model, a, b, name)
+
+    monkeypatch.setattr(d3l_mod, "build_profile", spy)
+    results, _ = d.query("db.t.a.b", k=1)
+    assert seen == ["a.b"] and [r.col_id for r in results] == ["db.t.c"]
