@@ -66,7 +66,7 @@ class Aurum:
     ) -> tuple[list[SearchResult], QueryTiming]:
         """Graph neighbor lookup — the whole query path."""
         t0 = time.perf_counter()
-        edges = self.graph.get(col_id, [])[:k]
+        edges = self.graph.get(col_id, [])[: max(k, 0)]
         results = [SearchResult(col_id=c, score=s) for c, s in edges]
         dt = time.perf_counter() - t0
         return results, QueryTiming(load_s=0.0, lookup_s=dt)

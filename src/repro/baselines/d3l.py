@@ -229,4 +229,4 @@ class D3L:
         ]
         scored.sort(key=lambda r: -r.score)
         t2 = time.perf_counter()
-        return scored[:k], QueryTiming(load_s=t1 - t0, lookup_s=t2 - t1)
+        return scored[: max(k, 0)], QueryTiming(load_s=t1 - t0, lookup_s=t2 - t1)

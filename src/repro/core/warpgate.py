@@ -30,12 +30,10 @@ from repro.embed_model.model import EmbeddingModel
 
 @dataclass
 class WarpGateConfig:
-    """Tunables, defaults per the paper's experiment setup."""
+    """Tunables, defaults per the paper's experiment setup; the SimHash
+    width and threshold are the constants of :mod:`repro.core.simhash`."""
 
-    n_bits: int = 128
-    threshold: float = 0.7  # SimHash LSH similarity threshold (§4.3)
     sample: int | None = None  # rows per column (LIMIT); None = full values
-    k: int = 10
     seed: int = 99
 
 
@@ -55,24 +53,19 @@ class WarpGate:
         cells = warehouse.cells_long_df(sample=self.config.sample)
         emb_df = embed_columns_df(warehouse.spark, cells, self.model)
         self.index = SimHashIndex.build_from_df(
-            emb_df,
-            dim=int(self.model.dim),
-            n_bits=self.config.n_bits,
-            threshold=self.config.threshold,
-            seed=self.config.seed,
+            emb_df, dim=int(self.model.dim), seed=self.config.seed
         )
         self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0
         return self.index
 
     def query(
-        self, col_id: str, *, k: int | None = None
+        self, col_id: str, *, k: int = 10
     ) -> tuple[list[SearchResult], QueryTiming]:
         """Top-k semantic join discovery for one query column."""
         assert self.index is not None and self._warehouse is not None, (
             "build_index() must run before query()"
         )
-        k = k or self.config.k
         t0 = time.perf_counter()
         values = load_column(self._warehouse, col_id, sample=self.config.sample)
         t1 = time.perf_counter()

@@ -10,7 +10,7 @@ from repro.core.simhash import (
     band_params_for_threshold,
     bit_agreement_probability,
     hyperplanes,
-    signature,
+    signatures,
     signatures_df,
 )
 
@@ -41,7 +41,8 @@ def test_bit_agreement_matches_empirical():
     for cos_target in (0.9, 0.7, 0.3):
         theta = np.arccos(cos_target)
         b = np.cos(theta) * a_n + np.sin(theta) * p_n
-        agree = np.mean(signature(a_n, planes) == signature(b, planes))
+        sa, sb = signatures(np.stack([a_n, b]), planes)
+        agree = np.mean(sa == sb)
         assert agree == pytest.approx(bit_agreement_probability(cos_target), abs=0.03)
 
 
@@ -61,15 +62,26 @@ def test_hyperplanes_deterministic():
     assert np.allclose(hyperplanes(8, 16, seed=3), hyperplanes(8, 16, seed=3))
 
 
+def test_signatures_match_per_vector_reference():
+    """One matmul signs like ``planes @ v >= 0`` row by row: exactly for
+    a 1-row matrix (the query path), and on these rows for a batch."""
+    g = np.random.default_rng(10)
+    mat = g.standard_normal((200, 32)).astype(np.float32)
+    planes = hyperplanes(32, 128, seed=2)
+    reference = np.stack([(planes @ v) >= 0 for v in mat])
+    assert np.array_equal(signatures(mat, planes), reference)
+    for v, ref in zip(mat, reference):
+        assert np.array_equal(signatures(v[None], planes)[0], ref)
+
+
 @pytest.fixture(scope="module")
 def random_index():
     g = np.random.default_rng(7)
     dim = 32
     mat = g.standard_normal((200, dim)).astype(np.float32)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    idx = SimHashIndex(dim=dim, n_bits=128, threshold=0.7, seed=5)
-    sigs = np.stack([signature(v, idx.planes) for v in mat])
-    idx.add_batch([f"c{i}" for i in range(200)], mat, sigs)
+    idx = SimHashIndex(dim=dim, seed=5)
+    idx.add_batch([f"c{i}" for i in range(200)], mat, signatures(mat, idx.planes))
     return idx, mat
 
 
@@ -116,6 +128,7 @@ def test_query_k_bound(random_index):
     idx, _ = random_index
     q = np.random.default_rng(2).standard_normal(32).astype(np.float32)
     assert len(idx.query(q, 7)) == 7
+    assert idx.query(q, 0) == [] and idx.query(q, -1) == []
 
 
 def test_query_scores_sorted(random_index):
@@ -147,6 +160,48 @@ def test_candidates_shrink_universe(random_index):
     assert min(sizes) < 200
 
 
+def _unit_queries(mat, seed):
+    """Random unit vectors and perturbed copies of indexed rows."""
+    g = np.random.default_rng(seed)
+    qs = np.vstack(
+        [
+            g.standard_normal((10, mat.shape[1])),
+            mat[:10] + 0.05 * g.standard_normal((10, mat.shape[1])),
+        ]
+    ).astype(np.float32)
+    return qs / np.linalg.norm(qs, axis=1, keepdims=True)
+
+
+def test_candidates_equal_band_matches(random_index):
+    """The probe returns exactly the rows whose stored signature equals
+    the query's on every bit of at least one band."""
+    idx, mat = random_index
+    b, r = idx.n_bands, idx.rows_per_band
+    stored = signatures(mat, idx.planes).reshape(len(mat), b, r)
+    for q in _unit_queries(mat, 12):
+        qsig = signatures(q[None], idx.planes).reshape(b, r)
+        expected = [
+            i for i in range(len(mat))
+            if any((stored[i, j] == qsig[j]).all() for j in range(b))
+        ]
+        assert list(idx.candidates(q)) == expected
+
+
+@pytest.mark.parametrize("exclude", [set(), {"c3", "c4"}])
+def test_query_exact_when_probe_underdelivers(random_index, exclude):
+    """Fewer than k + |exclude| candidates: the exhaustive fallback
+    returns the exact top-k by cosine."""
+    idx, mat = random_index
+    k = 40
+    for q in _unit_queries(mat, 13):
+        assert len(idx.candidates(q)) < k + len(exclude)
+        scores = mat.astype(np.float64) @ q
+        exact = [i for i in np.argsort(-scores) if f"c{i}" not in exclude][:k]
+        got = idx.query(q, k, exclude=exclude)
+        assert [r.col_id for r in got] == [f"c{i}" for i in exact]
+        assert [r.score for r in got] == pytest.approx(scores[exact], abs=1e-5)
+
+
 def test_signatures_df_matches_driver(spark):
     """Distributed signature computation equals the driver-side one."""
     g = np.random.default_rng(4)
@@ -161,8 +216,9 @@ def test_signatures_df_matches_driver(spark):
     )
     rows = signatures_df(spark.createDataFrame(pdf), planes).collect()
     got = {r["col_id"]: np.array(r["sig"], dtype=bool) for r in rows}
+    expected = signatures(mat, planes)
     for i in range(n):
-        assert np.array_equal(got[f"c{i}"], signature(mat[i], planes))
+        assert np.array_equal(got[f"c{i}"], expected[i])
 
 
 def test_build_from_df(spark):

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.simhash import band_params_for_threshold
+from repro.core.simhash import N_BITS, THRESHOLD, band_params_for_threshold
 from repro.core.warpgate import WarpGate, WarpGateConfig
+from tests.conftest import spark_jobs
 
 
 def test_index_covers_nonempty_columns(warpgate_xs, xs_corpus):
@@ -106,12 +107,20 @@ def test_lookup_without_warehouse_raises(model):
         wg.query("a.b.c")
 
 
-def test_config_threshold_sets_bands(model, xs_corpus):
+def test_index_bands_match_threshold(warpgate_xs):
+    index = warpgate_xs.index
+    assert (index.n_bands, index.rows_per_band) == band_params_for_threshold(
+        THRESHOLD, N_BITS
+    )
+
+
+def test_build_index_job_count(spark, model, xs_corpus):
+    """Embedding and signing run as one Spark pass, collected once (two
+    jobs on XS)."""
     _, wh = xs_corpus
-    wg = WarpGate(model=model, config=WarpGateConfig(threshold=0.9, n_bits=128))
-    wg.build_index(wh)
-    b, r = band_params_for_threshold(0.9, 128)
-    assert (wg.index.n_bands, wg.index.rows_per_band) == (b, r)
+    with spark_jobs(spark) as jobs:
+        WarpGate(model=model).build_index(wh)
+    assert 0 < len(jobs) <= 2
 
 
 def test_empty_values_lookup(warpgate_xs):
